@@ -13,12 +13,20 @@
 //! * [`Json::to_string`] (via `Display`) — compact single-line output,
 //!   suitable for newline-delimited-JSON framing.
 //! * [`Json::parse`] — a recursive-descent parser accepting standard
-//!   JSON (with `\uXXXX` escapes, including surrogate pairs).
+//!   JSON (with `\uXXXX` escapes, including surrogate pairs). It is
+//!   linear in the input: string bodies are copied run by run between
+//!   escapes, and nesting is capped at [`MAX_DEPTH`] so a line of
+//!   brackets is an error, not a stack overflow.
 //!
 //! Numbers are stored as `f64`; integral values in `|x| < 2^53` render
 //! without a decimal point, so counters round-trip textually.
 
 use std::fmt::{self, Write as _};
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so the cap bounds its stack use
+/// whatever the input; real documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value with insertion-ordered objects.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +118,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -188,12 +196,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -229,13 +242,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next `"` or `\` in one piece. Both
+        // are ASCII, so the run ends on a char boundary of the `&str`
+        // input and validating it costs only its own length.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A `\`: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     None => return Err("unterminated escape".into()),
@@ -256,6 +279,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             {
                                 *pos += 2;
                                 let lo = parse_hex4(bytes, pos)?;
+                                if !(0xdc00..0xe000).contains(&lo) {
+                                    return Err("lone high surrogate".into());
+                                }
                                 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
                             } else {
                                 return Err("lone high surrogate".into());
@@ -272,13 +298,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so valid).
-                let tail = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = tail.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
@@ -294,7 +313,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(v)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -303,7 +322,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -316,7 +335,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -335,7 +354,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        pairs.push((key, parse_value(bytes, pos)?));
+        pairs.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -415,6 +434,182 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"x", "{a:1}"] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn invalid_low_surrogate_is_an_error() {
+        for bad in [
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\udc00\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested =
+            |open: &str, close: &str, n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("[{\"a\":", "}]", MAX_DEPTH / 2)).is_ok());
+        for deep in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"a\":", "}", MAX_DEPTH + 1),
+            nested("[{\"a\":", "}]", MAX_DEPTH),
+            "[".repeat(20_000),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(
+                err.starts_with("nesting deeper than 128 levels at byte "),
+                "{err}"
+            );
+        }
+    }
+
+    /// The char-at-a-time string decoder the run-copy parser replaced:
+    /// one scalar per step, same escapes. Returns the decoded text and
+    /// the byte offset just past the closing quote.
+    fn reference_string(input: &str) -> Result<(String, usize), String> {
+        fn hex4(chars: &mut std::str::CharIndices<'_>) -> Result<u32, String> {
+            let digits: String = chars.take(4).map(|(_, c)| c).collect();
+            u32::from_str_radix(&digits, 16).map_err(|_| format!("bad hex `{digits}`"))
+        }
+        let mut chars = input.char_indices();
+        assert_eq!(chars.next(), Some((0, '"')));
+        let mut out = String::new();
+        while let Some((at, c)) = chars.next() {
+            match c {
+                '"' => return Ok((out, at + 1)),
+                '\\' => match chars.next().map(|(_, c)| c) {
+                    Some('"') => out.push('"'),
+                    Some('\\') => out.push('\\'),
+                    Some('/') => out.push('/'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('b') => out.push('\u{08}'),
+                    Some('f') => out.push('\u{0c}'),
+                    Some('u') => {
+                        let hi = hex4(&mut chars)?;
+                        let code = if (0xd800..0xdc00).contains(&hi) {
+                            let marker: String = chars.by_ref().take(2).map(|(_, c)| c).collect();
+                            let lo = hex4(&mut chars)?;
+                            if marker != "\\u" || !(0xdc00..0xe000).contains(&lo) {
+                                return Err("lone high surrogate".into());
+                            }
+                            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                        } else {
+                            hi
+                        };
+                        out.push(char::from_u32(code).ok_or("bad codepoint")?);
+                    }
+                    other => return Err(format!("bad escape {other:?}")),
+                },
+                c => out.push(c),
+            }
+        }
+        Err("unterminated string".into())
+    }
+
+    /// Seeded strings built from pieces that land multi-byte UTF-8 on
+    /// run boundaries (next to quotes and escapes): every escape,
+    /// surrogate pairs, raw control bytes. Each is `(literal, decoded)`.
+    fn generated_strings(count: usize) -> Vec<(String, String)> {
+        const PIECES: &[(&str, &str)] = &[
+            ("plain", "plain"),
+            ("é", "é"),
+            ("€", "€"),
+            ("😀", "😀"),
+            ("中文", "中文"),
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\b", "\u{08}"),
+            ("\\f", "\u{0c}"),
+            ("\\u00e9", "é"),
+            ("\\u20AC", "€"),
+            ("\\u0000", "\u{0}"),
+            ("\\uffff", "\u{ffff}"),
+            ("\\ud83d\\ude00", "😀"),
+            ("\\uDBFF\\uDFFF", "\u{10ffff}"),
+            ("\u{1}", "\u{1}"),
+            ("\u{1f}", "\u{1f}"),
+            ("\t", "\t"),
+            ("\n", "\n"),
+            ("\u{7f}", "\u{7f}"),
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        (0..count)
+            .map(|_| {
+                let (mut literal, mut decoded) = (String::from("\""), String::new());
+                for _ in 0..next(12) {
+                    let (lit, dec) = PIECES[next(PIECES.len())];
+                    literal.push_str(lit);
+                    decoded.push_str(dec);
+                }
+                literal.push('"');
+                (literal, decoded)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_copy_strings_decode_like_the_char_at_a_time_reference() {
+        for (literal, decoded) in generated_strings(4000) {
+            // A trailing value proves both decoders stop at the quote.
+            let input = format!("{literal},7");
+            let mut pos = 0;
+            let fast = parse_string(input.as_bytes(), &mut pos);
+            assert_eq!(fast, Ok(decoded.clone()), "{literal}");
+            assert_eq!(reference_string(&input), Ok((decoded, pos)), "{literal}");
+            assert_eq!(&input[pos..], ",7");
+        }
+        // Truncations and malformed escapes fail in both decoders.
+        for bad in [
+            "\"é",
+            "\"abc\\",
+            "\"\\q\"",
+            "\"\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+        ] {
+            assert!(parse_string(bad.as_bytes(), &mut 0).is_err(), "{bad}");
+            assert!(reference_string(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_four_mebibyte_string_parses_in_linear_time() {
+        let unit = "run of text é€😀 ";
+        let units = 4 * 1024 * 1024 / unit.len();
+        let mut literal = String::from("[\"");
+        let mut decoded = String::new();
+        for i in 0..units {
+            literal.push_str(unit);
+            decoded.push_str(unit);
+            if i % 4096 == 0 {
+                literal.push_str("\\n");
+                decoded.push('\n');
+            }
+        }
+        literal.push_str("\"]");
+        assert!(literal.len() >= 4 * 1024 * 1024);
+        let parsed = Json::parse(&literal).unwrap();
+        assert_eq!(
+            parsed.as_array().unwrap()[0].as_str(),
+            Some(decoded.as_str())
+        );
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! order, at any thread count — therefore returns the stored result in
 //! O(hash of the input bytes) instead of O(STA).
 //!
+//! Values are the serialized `result` JSON as shared [`Arc<str>`]
+//! bytes: a hit clones the `Arc` under the lock and the server splices
+//! those bytes into the reply line outside it — no copy of the result
+//! under the lock, no re-parse, no second print.
+//!
 //! Eviction is LRU over a fixed entry budget **and** a byte budget
 //! ([`CacheBudget`], default 64 MiB, overridable via
 //! `MODEMERGE_RESULT_CACHE_KB` — the same resolve-override-else-env
@@ -22,6 +27,7 @@ use crate::hash::Fnv64;
 use modemerge_core::json::Json;
 use modemerge_core::merge::MergeOptions;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// The content-addressed key of one suite's raw bytes: the netlist
 /// text plus every `(mode name, SDC text)` pair, sorted internally so
@@ -181,7 +187,7 @@ impl CacheStats {
 pub struct ResultCache {
     capacity: usize,
     budget: CacheBudget,
-    map: HashMap<u64, String>,
+    map: HashMap<u64, Arc<str>>,
     order: VecDeque<u64>,
     bytes: u64,
     hits: u64,
@@ -218,8 +224,8 @@ impl ResultCache {
     }
 
     /// Looks up a result, refreshing its recency and counting the
-    /// hit/miss.
-    pub fn get(&mut self, key: u64) -> Option<String> {
+    /// hit/miss. A hit shares the stored bytes (an `Arc` clone).
+    pub fn get(&mut self, key: u64) -> Option<Arc<str>> {
         match self.map.get(&key).cloned() {
             Some(v) => {
                 self.hits += 1;
@@ -239,7 +245,7 @@ impl ResultCache {
     /// same never-evict-the-newest convention as the STA layer's
     /// `BoundedMemo`). Re-inserting an existing key refreshes value and
     /// recency without counting an eviction.
-    pub fn insert(&mut self, key: u64, value: String) {
+    pub fn insert(&mut self, key: u64, value: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -338,7 +344,7 @@ mod tests {
         // A single result larger than the whole budget still caches:
         // the just-inserted entry is never its own victim.
         let mut c = ResultCache::with_budget(16, CacheBudget { bytes: 10 });
-        c.insert(key(1), "x".repeat(64));
+        c.insert(key(1), "x".repeat(64).into());
         assert_eq!(c.stats().entries, 1);
         assert_eq!(c.stats().bytes, 64);
         assert_eq!(c.get(key(1)).map(|v| v.len()), Some(64));

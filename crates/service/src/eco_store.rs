@@ -10,17 +10,23 @@
 //! a small LRU cap: engines hold clones of whole merge outcomes, so
 //! the budget is engines, not entries.
 //!
-//! Concurrency: an engine is checked out (removed) for the duration of
-//! one remerge and re-inserted afterwards — two racing submissions of
-//! the same suite simply run one cold, which the byte-identity
-//! invariant makes harmless. Counters of evicted engines roll into a
-//! retired accumulator so the service `stats` stay monotonic.
+//! Concurrency: there is at most one engine per suite key. A remerge
+//! holds it through an [`EcoCheckout`] guard; a second merge of the
+//! same suite meanwhile waits for the guard instead of merging cold
+//! beside it, so it replays against the first merge's fresh baseline.
+//! The guard puts the engine back on drop. If the merge panicked, it
+//! drops the engine's baseline instead (it may be half updated) and
+//! keeps its counters; either way the key is released. The `stats`
+//! aggregate counts a checked-out engine at its counters from checkout
+//! time, and those of evicted or discarded engines roll into a retired
+//! accumulator, so every counter is monotonic.
 
 use crate::hash::Fnv64;
 use modemerge_core::json::Json;
 use modemerge_core::merge::MergeOptions;
 use modemerge_core::{EcoCounters, EcoEngine};
-use std::sync::Mutex;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The options-independent half of a suite's engine identity: the
 /// design bytes plus the **sorted mode names**. Mode SDC *contents* do
@@ -56,16 +62,25 @@ pub fn suite_key(netlist: &str, modes: &[(String, String)], options: &MergeOptio
     suite_key_from_seed(suite_seed(netlist, modes), options)
 }
 
-/// An LRU pool of at most `cap` warm engines, keyed by [`suite_key`].
+/// An LRU pool of at most `cap` warm engines, keyed by [`suite_key`],
+/// handing out at most one engine per key at a time.
 pub struct EcoStore {
     cap: usize,
+    state: Mutex<StoreState>,
+    /// Signalled whenever a checkout is released.
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct StoreState {
     /// Checked-in engines in recency order (back = most recent). Linear
     /// scans are fine: the cap is single-digit.
-    engines: Mutex<Vec<(u64, EcoEngine)>>,
-    /// Counters of engines evicted (or never re-inserted) so the
-    /// aggregate reported by [`EcoStore::counters`] never goes
-    /// backwards.
-    retired: Mutex<EcoCounters>,
+    engines: Vec<(u64, EcoEngine)>,
+    /// Keys of checked-out engines, with their counters at checkout.
+    checked_out: Vec<(u64, EcoCounters)>,
+    /// Counters of engines evicted or discarded, so the aggregate
+    /// reported by [`EcoStore::counters`] never goes backwards.
+    retired: EcoCounters,
 }
 
 impl EcoStore {
@@ -74,55 +89,73 @@ impl EcoStore {
     pub fn new(cap: usize) -> Self {
         Self {
             cap,
-            engines: Mutex::new(Vec::new()),
-            retired: Mutex::new(EcoCounters::default()),
+            state: Mutex::new(StoreState::default()),
+            released: Condvar::new(),
         }
     }
 
-    /// Checks out the engine for `key`, or a fresh one. The caller owns
-    /// it for the duration of one remerge and must [`EcoStore::put`] it
-    /// back to preserve warmth and counters.
-    pub fn take(&self, key: u64) -> EcoEngine {
-        let mut engines = self.engines.lock().expect("eco store poisoned");
-        match engines.iter().position(|(k, _)| *k == key) {
-            Some(pos) => engines.remove(pos).1,
+    /// Every critical section leaves the state consistent and panics
+    /// nowhere, so a poisoned lock is still sound to use — and a guard
+    /// dropped during a panic must not panic again.
+    fn lock(&self) -> MutexGuard<'_, StoreState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Checks out the engine for `key` (a fresh one on first contact),
+    /// waiting while another checkout of `key` is live. The engine goes
+    /// back when the returned guard drops.
+    pub fn checkout(&self, key: u64) -> EcoCheckout<'_> {
+        let mut state = self.lock();
+        while state.checked_out.iter().any(|(k, _)| *k == key) {
+            state = self
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let engine = match state.engines.iter().position(|(k, _)| *k == key) {
+            Some(pos) => state.engines.remove(pos).1,
             None => EcoEngine::new(),
+        };
+        state.checked_out.push((key, *engine.counters()));
+        EcoCheckout {
+            store: self,
+            key,
+            engine: Some(engine),
         }
     }
 
-    /// Returns a checked-out engine, evicting the least-recently-used
-    /// engines while over the cap (their counters are retired, their
-    /// baselines dropped).
-    pub fn put(&self, key: u64, engine: EcoEngine) {
-        let mut engines = self.engines.lock().expect("eco store poisoned");
-        if self.cap == 0 {
-            self.retire(engine.counters());
-            return;
+    /// Releases `key` and checks `engine` back in, evicting the
+    /// least-recently-used engines while over the cap (their counters
+    /// are retired, their baselines dropped). A `discard`ed engine is
+    /// retired at once.
+    fn release(&self, key: u64, engine: EcoEngine, discard: bool) {
+        let mut state = self.lock();
+        state.checked_out.retain(|(k, _)| *k != key);
+        if discard || self.cap == 0 {
+            state.retired.accumulate(engine.counters());
+        } else {
+            state.engines.push((key, engine));
+            while state.engines.len() > self.cap {
+                let (_, evicted) = state.engines.remove(0);
+                state.retired.accumulate(evicted.counters());
+            }
         }
-        engines.retain(|(k, _)| *k != key);
-        engines.push((key, engine));
-        while engines.len() > self.cap {
-            let (_, evicted) = engines.remove(0);
-            self.retire(evicted.counters());
-        }
+        drop(state);
+        self.released.notify_all();
     }
 
-    fn retire(&self, counters: &EcoCounters) {
-        self.retired
-            .lock()
-            .expect("eco store poisoned")
-            .accumulate(counters);
-    }
-
-    /// The aggregate counters across retired and resident engines, plus
-    /// the resident engine count.
+    /// The aggregate counters across retired, resident and checked-out
+    /// engines, plus the resident engine count.
     pub fn counters(&self) -> (EcoCounters, usize) {
-        let engines = self.engines.lock().expect("eco store poisoned");
-        let mut total = *self.retired.lock().expect("eco store poisoned");
-        for (_, engine) in engines.iter() {
+        let state = self.lock();
+        let mut total = state.retired;
+        for (_, engine) in &state.engines {
             total.accumulate(engine.counters());
         }
-        (total, engines.len())
+        for (_, at_checkout) in &state.checked_out {
+            total.accumulate(at_checkout);
+        }
+        (total, state.engines.len())
     }
 
     /// Serializes the aggregate to the `stats` wire shape: every
@@ -139,9 +172,42 @@ impl EcoStore {
     }
 }
 
+/// Exclusive use of one suite's engine, from [`EcoStore::checkout`]
+/// until drop.
+pub struct EcoCheckout<'a> {
+    store: &'a EcoStore,
+    key: u64,
+    /// `Some` until drop hands it back.
+    engine: Option<EcoEngine>,
+}
+
+impl Deref for EcoCheckout<'_> {
+    type Target = EcoEngine;
+
+    fn deref(&self) -> &EcoEngine {
+        self.engine.as_ref().expect("engine held until drop")
+    }
+}
+
+impl DerefMut for EcoCheckout<'_> {
+    fn deref_mut(&mut self) -> &mut EcoEngine {
+        self.engine.as_mut().expect("engine held until drop")
+    }
+}
+
+impl Drop for EcoCheckout<'_> {
+    fn drop(&mut self) {
+        if let Some(engine) = self.engine.take() {
+            self.store
+                .release(self.key, engine, std::thread::panicking());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn modes(names: &[&str]) -> Vec<(String, String)> {
         names
@@ -173,31 +239,107 @@ mod tests {
         assert_ne!(a, suite_key("net\n", &modes(&["F1", "F2"]), &strict));
     }
 
+    /// The paper circuit's two-mode suite, merged cold once into the
+    /// checked-out engine: leaves it with a baseline and `cold_runs`
+    /// = 1.
+    fn merge_cold(engine: &mut EcoEngine) {
+        use modemerge_core::{MergeSession, ModeInput, SessionInputs};
+        let netlist = modemerge_netlist::paper::paper_circuit();
+        let sdc = "create_clock -name c -period 10 [get_ports clk1]\n";
+        let inputs = vec![
+            ModeInput::parse("A", sdc).unwrap(),
+            ModeInput::parse("B", sdc).unwrap(),
+        ];
+        let bound = SessionInputs::bind(&netlist, &inputs).unwrap();
+        let options = MergeOptions::default();
+        let session = MergeSession::new(&netlist, &bound, &options);
+        session.rebind_delta(engine, 1, false).unwrap();
+    }
+
     #[test]
     fn store_round_trips_and_evicts_lru() {
         let store = EcoStore::new(2);
         // Fresh checkout, nothing resident yet.
-        let e1 = store.take(1);
+        let e1 = store.checkout(1);
         assert!(!e1.has_baseline());
-        store.put(1, e1);
-        store.put(2, EcoEngine::new());
+        drop(e1);
+        drop(store.checkout(2));
         assert_eq!(store.counters().1, 2);
         // Third suite evicts the LRU engine (key 1).
-        store.put(3, EcoEngine::new());
+        drop(store.checkout(3));
         assert_eq!(store.counters().1, 2);
-        // Re-taking key 1 yields a fresh engine; 2 and 3 are resident.
-        let engines = store.engines.lock().unwrap();
-        assert!(engines.iter().all(|(k, _)| *k != 1));
-        assert!(engines.iter().any(|(k, _)| *k == 2));
-        assert!(engines.iter().any(|(k, _)| *k == 3));
+        let state = store.lock();
+        assert!(state.engines.iter().all(|(k, _)| *k != 1));
+        assert!(state.engines.iter().any(|(k, _)| *k == 2));
+        assert!(state.engines.iter().any(|(k, _)| *k == 3));
+        assert!(state.checked_out.is_empty());
+    }
+
+    #[test]
+    fn warm_engines_come_back_and_counters_never_dip() {
+        let store = EcoStore::new(2);
+        merge_cold(&mut store.checkout(1));
+        assert_eq!(store.counters().0.cold_runs, 1);
+        let again = store.checkout(1);
+        assert!(again.has_baseline(), "the warm engine is handed out again");
+        // A checked-out engine still counts, at its checkout counters.
+        assert_eq!(store.counters(), (*again.counters(), 0));
+        drop(again);
+        assert_eq!(store.counters().0.cold_runs, 1);
+    }
+
+    #[test]
+    fn a_second_checkout_of_a_suite_waits_for_the_first() {
+        let store = EcoStore::new(2);
+        let first = store.checkout(1);
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let waiter = &store;
+            scope.spawn(move || tx.send(waiter.checkout(1).has_baseline()).unwrap());
+            // Other suites are not blocked meanwhile.
+            drop(store.checkout(2));
+            assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+            let mut first = first;
+            merge_cold(&mut first);
+            drop(first);
+            // The waiter gets the engine the first merge just warmed.
+            assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(true));
+        });
+        assert_eq!(store.counters().0.cold_runs, 1);
+    }
+
+    #[test]
+    fn a_checkout_dropped_by_a_panic_releases_its_key() {
+        let store = EcoStore::new(2);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut engine = store.checkout(5);
+                    merge_cold(&mut engine);
+                    panic!("merge blew up mid-remerge");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        // The key is free: a later merge of the suite gets a fresh
+        // engine (the half-updated one was discarded) without blocking,
+        // and the discarded engine's counters are kept.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let later = &store;
+            scope.spawn(move || tx.send(later.checkout(5).has_baseline()).unwrap());
+            assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(false));
+        });
+        assert_eq!(store.counters().0.cold_runs, 1);
     }
 
     #[test]
     fn zero_cap_disables_residency_but_keeps_counters() {
         let store = EcoStore::new(0);
-        store.put(7, EcoEngine::new());
+        merge_cold(&mut store.checkout(7));
         let (counters, engines) = store.counters();
         assert_eq!(engines, 0);
-        assert_eq!(counters, EcoCounters::default());
+        assert_eq!(counters.cold_runs, 1);
+        assert!(!store.checkout(7).has_baseline());
     }
 }

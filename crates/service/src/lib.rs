@@ -30,9 +30,10 @@
 //!   repeated submissions of unchanged mode sets return in O(hash)
 //!   instead of O(STA);
 //! * [`eco_store`] — a suite-keyed pool of warm
-//!   [`EcoEngine`](modemerge_core::EcoEngine)s: an *edited*
-//!   resubmission misses the result cache but lands on the engine
-//!   holding its previous baseline, which replays everything the
+//!   [`EcoEngine`](modemerge_core::EcoEngine)s, one per suite: an
+//!   *edited* resubmission misses the result cache but lands on the
+//!   engine holding its previous baseline (waiting for it while another
+//!   merge of the suite holds it), which replays everything the
 //!   command-level delta leaves valid instead of re-merging cold
 //!   (`MODEMERGE_ECO_CHECK=1` cross-checks every warm result against a
 //!   cold merge);

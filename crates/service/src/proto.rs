@@ -65,6 +65,7 @@
 
 use modemerge_core::json::Json;
 use modemerge_core::merge::MergeOptions;
+use std::fmt::Write as _;
 
 /// Default per-request line cap: 64 MiB.
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 64 * 1024 * 1024;
@@ -372,6 +373,39 @@ pub fn ok_response(kind: &str, extra: Vec<(String, Json)>) -> String {
     Json::Obj(pairs).to_string()
 }
 
+/// The reply to a computed or cached `merge`/`plan`/`lint` job, spliced
+/// around its already serialized `result` bytes. It is the line
+/// [`ok_response`] prints for the fields `cached`, `key`,
+/// `queue_wait_ms` (computed jobs only), `result` over
+/// `Json::parse(result)` and `id` (tagged requests only), built without
+/// parsing or re-printing the result: the serializer's output is a
+/// fixed point of parse-then-print, so the two agree byte for byte.
+pub fn result_response(
+    kind: &str,
+    cached: bool,
+    key: u64,
+    queue_wait_ms: Option<f64>,
+    result: &str,
+    id: Option<&Json>,
+) -> String {
+    let mut line = String::with_capacity(result.len() + 128);
+    let _ = write!(
+        line,
+        "{{\"ok\":true,\"type\":{},\"cached\":{cached},\"key\":\"{key:016x}\"",
+        Json::str(kind)
+    );
+    if let Some(ms) = queue_wait_ms {
+        let _ = write!(line, ",\"queue_wait_ms\":{}", Json::num(ms));
+    }
+    line.push_str(",\"result\":");
+    line.push_str(result);
+    if let Some(id) = id {
+        let _ = write!(line, ",\"id\":{id}");
+    }
+    line.push('}');
+    line
+}
+
 /// An error response envelope, echoing the request's `id` tag when
 /// present.
 pub fn error_response_tagged(kind: Option<&str>, message: &str, id: Option<&Json>) -> String {
@@ -443,6 +477,60 @@ mod tests {
                 threads: 2,
                 ..Default::default()
             },
+        }
+    }
+
+    #[test]
+    fn spliced_result_replies_equal_the_parsed_envelope() {
+        // Results as the cache holds them: the serializer's own output.
+        let results = [
+            Json::Obj(vec![
+                (
+                    "merged".into(),
+                    Json::Arr(vec![Json::str("A+B \"q\" \\ \u{1} é\n😀")]),
+                ),
+                ("n".into(), Json::count(3)),
+                ("frac".into(), Json::num(0.1 + 0.2)),
+                ("big".into(), Json::num(1e300)),
+                ("none".into(), Json::Null),
+            ]),
+            Json::Arr(vec![]),
+            Json::num(-2.5),
+            Json::Null,
+            Json::str("text"),
+        ];
+        let ids = [
+            None,
+            Some(Json::str("tag \"x\" \\ é\t")),
+            Some(Json::count(42)),
+            Some(Json::num(-1.5)),
+            Some(Json::Null),
+            Some(Json::Obj(vec![
+                ("c".into(), Json::count(1)),
+                ("d".into(), Json::Arr(vec![Json::Bool(true)])),
+            ])),
+        ];
+        let key = 0x00ab_cdef_0123_4567_u64;
+        for result in results.iter().map(Json::to_string) {
+            for id in &ids {
+                for (cached, wait) in [(true, None), (false, Some(12.345)), (false, Some(0.0))] {
+                    let mut extra = vec![
+                        ("cached".into(), Json::Bool(cached)),
+                        ("key".into(), Json::str(format!("{key:016x}"))),
+                    ];
+                    if let Some(ms) = wait {
+                        extra.push(("queue_wait_ms".into(), Json::num(ms)));
+                    }
+                    extra.push(("result".into(), Json::parse(&result).unwrap()));
+                    if let Some(id) = id {
+                        extra.push(("id".into(), id.clone()));
+                    }
+                    assert_eq!(
+                        result_response("lint", cached, key, wait, &result, id.as_ref()),
+                        ok_response("lint", extra)
+                    );
+                }
+            }
         }
     }
 

@@ -39,7 +39,7 @@ use crate::cache::{job_key_for, suite_content_key, CacheStats, ResultCache};
 use crate::eco_store::{suite_key_from_seed, suite_seed, EcoStore};
 use crate::proto::{
     error_response, error_response_tagged, error_response_with, max_request_bytes, ok_response,
-    overloaded_response, JobRef, JobSpec, Request,
+    overloaded_response, result_response, JobRef, JobSpec, Request,
 };
 use crate::queue::{PushError, ShardedQueue};
 use crate::registry::{
@@ -376,26 +376,21 @@ fn worker_loop(state: &ServerState, worker: usize) {
         state.record_queue_wait(waited);
         let response = match compute(state, &job) {
             Ok(result_text) => {
+                let result: Arc<str> = result_text.into();
                 state
                     .cache
                     .lock()
                     .expect("cache poisoned")
-                    .insert(job.key, result_text.clone());
+                    .insert(job.key, Arc::clone(&result));
                 state.completed.fetch_add(1, Ordering::SeqCst);
-                let result = Json::parse(&result_text).expect("serializer emits valid JSON");
-                let mut extra = vec![
-                    ("cached".into(), Json::Bool(false)),
-                    ("key".into(), Json::str(format!("{:016x}", job.key))),
-                    (
-                        "queue_wait_ms".into(),
-                        Json::num(waited.as_micros() as f64 / 1000.0),
-                    ),
-                    ("result".into(), result),
-                ];
-                if let Some(id) = &job.id {
-                    extra.push(("id".into(), id.clone()));
-                }
-                ok_response(job.kind.name(), extra)
+                result_response(
+                    job.kind.name(),
+                    false,
+                    job.key,
+                    Some(waited.as_micros() as f64 / 1000.0),
+                    &result,
+                    job.id.as_ref(),
+                )
             }
             Err(message) => {
                 state.failed.fetch_add(1, Ordering::SeqCst);
@@ -494,18 +489,19 @@ fn run_session(
     let result = match kind {
         JobKind::Merge => {
             // Incremental path: check out the warm engine of this suite
-            // identity (fresh and cold on first contact). Only a cold
-            // run benefits from warming every mode analysis up front —
-            // a warm remerge may skip STA entirely, so warming eagerly
-            // would pay the cost the engine exists to avoid.
-            let skey = suite_key_from_seed(eco_seed, options);
-            let mut engine = state.eco.take(skey);
+            // identity (fresh and cold on first contact; a second merge
+            // of the suite waits for it instead of merging cold beside
+            // it). Only a cold run benefits from warming every mode
+            // analysis up front — a warm remerge may skip STA entirely,
+            // so warming eagerly would pay the cost the engine exists to
+            // avoid.
+            let mut engine = state.eco.checkout(suite_key_from_seed(eco_seed, options));
             if !engine.has_baseline() {
                 session.warm_up();
             }
             let check = std::env::var("MODEMERGE_ECO_CHECK").as_deref() == Ok("1");
             let remerged = session.rebind_delta(&mut engine, input_fp, check);
-            state.eco.put(skey, engine);
+            drop(engine);
             let (mut outcome, _report) = remerged.map_err(|e| e.to_string())?;
             // Parse findings of lossily parsed inputs ride the group
             // diagnostics — the same bytes `merge --json` prints.
@@ -765,19 +761,18 @@ fn submit_job(
     let key = job_key_for(kind.name(), content_key, payload_options(&payload));
 
     // Content-addressed fast path: O(hash of the input bytes) for
-    // inline payloads, O(1) for registered suites.
+    // inline payloads, O(1) for registered suites. The lock covers the
+    // lookup and an `Arc` clone; the reply is spliced outside it.
     let hit = state.cache.lock().expect("cache poisoned").get(key);
-    if let Some(result_text) = hit {
-        let result = Json::parse(&result_text).expect("cache holds valid JSON");
-        let mut extra = vec![
-            ("cached".into(), Json::Bool(true)),
-            ("key".into(), Json::str(format!("{key:016x}"))),
-            ("result".into(), result),
-        ];
-        if let Some(id) = &id {
-            extra.push(("id".into(), id.clone()));
-        }
-        return Some(ok_response(kind.name(), extra));
+    if let Some(result) = hit {
+        return Some(result_response(
+            kind.name(),
+            true,
+            key,
+            None,
+            &result,
+            id.as_ref(),
+        ));
     }
 
     let job = Job {

@@ -29,6 +29,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> benchmark package tests"
+# The benchmark is a package of its own (not a workspace member), so the
+# workspace runs above neither build nor test it. It calls the public
+# API of core (json, sessions, lint) and service (Client, proto): a
+# compile error here means the benchmark no longer builds.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> smoke: signoff_flow at 1 and 4 threads must be bit-identical"
 # Wall-clock lines (elapsed seconds and the runtime-reduction percentage
 # derived from them) legitimately vary run to run; everything else —

@@ -14,14 +14,15 @@ use modemerge::merge::json::Json;
 use modemerge::merge::mergeability::greedy_cliques;
 use modemerge::merge::report::{outcome_to_json, plan_to_json};
 use modemerge::merge::{MergeOptions, MergeSession, ModeInput, SessionInputs};
-use modemerge::netlist::{paper::paper_circuit, text};
-use modemerge::service::client::Client;
+use modemerge::netlist::{paper::paper_circuit, text, Library};
+use modemerge::service::client::{Client, Response};
 use modemerge::service::proto::{
     compute_request, simple_request, tag_request, JobSpec, NetlistFormat,
 };
 use modemerge::service::server::{Server, ServiceConfig};
 use modemerge::workload::{generate_suite, SuiteSpec};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The paper's 3-mode workload: two mergeable FUNC modes and one TEST
 /// mode whose clock latency conflicts (merges to 2 modes).
@@ -67,6 +68,21 @@ fn direct_merge_result() -> String {
     let session = MergeSession::new(&netlist, &bound, &MergeOptions::default());
     let outcome = session.merge_all().expect("merge");
     assert_eq!(outcome.merged.len(), 2, "F1+F2 merge, T1 stays");
+    outcome_to_json(&outcome, inputs.len()).to_string()
+}
+
+/// A direct, in-process cold merge of a text-netlist payload: the
+/// bytes every service reply for it must carry.
+fn direct_merge_of(spec: &JobSpec) -> String {
+    let netlist = text::parse(&spec.netlist, Library::standard()).expect("parse netlist");
+    let inputs: Vec<ModeInput> = spec
+        .modes
+        .iter()
+        .map(|(n, s)| ModeInput::parse(n.clone(), s).expect("parse sdc"))
+        .collect();
+    let bound = SessionInputs::bind(&netlist, &inputs).expect("bind");
+    let session = MergeSession::new(&netlist, &bound, &spec.options);
+    let outcome = session.merge_all().expect("merge");
     outcome_to_json(&outcome, inputs.len()).to_string()
 }
 
@@ -231,23 +247,172 @@ fn edited_resubmission_lands_on_the_warm_eco_engine() {
     assert_eq!(eco_counter(addr, "eco_hits"), 1, "edit must remerge warm");
     assert!(eco_counter(addr, "group_replays") + eco_counter(addr, "tail_replays") >= 1);
 
-    let netlist = paper_circuit();
-    let inputs: Vec<ModeInput> = edited
-        .modes
-        .iter()
-        .map(|(n, s)| ModeInput::parse(n.clone(), s).expect("parse sdc"))
-        .collect();
-    let bound = SessionInputs::bind(&netlist, &inputs).expect("bind");
-    let session = MergeSession::new(&netlist, &bound, &MergeOptions::default());
-    let cold = session.merge_all().expect("merge");
     assert_eq!(
         warm[0].1,
-        outcome_to_json(&cold, inputs.len()).to_string(),
+        direct_merge_of(&edited),
         "warm remerge must be byte-identical to a cold merge"
     );
 
     let bye = Client::connect(addr)
         .expect("connect")
+        .request(&simple_request("shutdown"))
+        .expect("shutdown");
+    assert!(bye.ok);
+    daemon.join().expect("daemon thread").expect("daemon io");
+}
+
+/// Every monotonic counter of a `stats` reply: job totals, result-cache
+/// hits/misses and each `cache.eco` counter (not the `engines` gauge).
+fn monotonic_counters(stats: &Response) -> Vec<(String, u64)> {
+    let json = &stats.json;
+    let mut counters: Vec<(String, u64)> = ["submitted", "completed", "failed"]
+        .iter()
+        .map(|k| {
+            (
+                (*k).to_owned(),
+                json.get(k).and_then(Json::as_u64).expect(k),
+            )
+        })
+        .collect();
+    let cache = json.get("cache").expect("cache block");
+    for k in ["hits", "misses"] {
+        let v = cache.get("results").and_then(|r| r.get(k));
+        counters.push((format!("results.{k}"), v.and_then(Json::as_u64).expect(k)));
+    }
+    match cache.get("eco") {
+        Some(Json::Obj(fields)) => counters.extend(
+            fields
+                .iter()
+                .filter(|(k, _)| k != "engines")
+                .map(|(k, v)| (format!("eco.{k}"), v.as_u64().expect("eco counter"))),
+        ),
+        other => panic!("cache.eco block expected, got {other:?}"),
+    }
+    counters
+}
+
+#[test]
+fn pipelined_edits_of_one_suite_share_one_warm_engine() {
+    let (addr, daemon) = start_server(2);
+    let base = scale_spec(600, 5, "");
+    let cold = submit_concurrently(addr, &base, 1);
+    assert_eq!(cold[0].1, direct_merge_of(&base));
+    assert_eq!(eco_counter(addr, "cold_runs"), 1);
+
+    // N distinct value edits of the same suite: every one misses the
+    // result cache and must remerge warm on the suite's one engine,
+    // even while the other worker is still merging the previous edit.
+    const N: usize = 8;
+    let edits: Vec<JobSpec> = (0..N)
+        .map(|k| {
+            let mut spec = base.clone();
+            let mode = k % spec.modes.len();
+            let delay = 1.5 + 0.01 * (k + 1) as f64;
+            let sdc = &mut spec.modes[mode].1;
+            let edited = sdc.replacen(
+                "set_input_delay 1.5 ",
+                &format!("set_input_delay {delay} "),
+                1,
+            );
+            assert_ne!(*sdc, edited, "generated modes carry an input delay");
+            *sdc = edited;
+            spec
+        })
+        .collect();
+
+    // Two connections pipeline half the edits each while a third polls
+    // `stats` throughout: no counter may ever go backwards.
+    let done = AtomicBool::new(false);
+    let (replies, polls) = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut client = Client::connect(addr).expect("connect");
+            let mut last: Option<Vec<(String, u64)>> = None;
+            let mut polls = 0;
+            while !done.load(Ordering::SeqCst) {
+                let stats = client.request(&simple_request("stats")).expect("stats");
+                let now = monotonic_counters(&stats);
+                if let Some(last) = &last {
+                    for ((name, before), (_, after)) in last.iter().zip(&now) {
+                        assert!(
+                            after >= before,
+                            "{name} went backwards: {before} -> {after}"
+                        );
+                    }
+                }
+                last = Some(now);
+                polls += 1;
+            }
+            polls
+        });
+        let connections: Vec<_> = (0..2)
+            .map(|c| {
+                let lines: Vec<String> = (c..N)
+                    .step_by(2)
+                    .map(|k| tag_request(&compute_request("merge", &edits[k]), &Json::count(k)))
+                    .collect();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    client.pipeline(&lines).expect("pipeline")
+                })
+            })
+            .collect();
+        let replies: Vec<Response> = connections
+            .into_iter()
+            .flat_map(|h| h.join().expect("connection"))
+            .collect();
+        done.store(true, Ordering::SeqCst);
+        (replies, poller.join().expect("poller"))
+    });
+    assert!(polls > 0);
+
+    assert_eq!(replies.len(), N);
+    for reply in &replies {
+        assert!(reply.ok, "{:?}", reply.error);
+        assert_eq!(reply.cached, Some(false), "every edit is new content");
+        let k = reply.id.as_ref().and_then(Json::as_u64).expect("id") as usize;
+        assert_eq!(
+            reply.json.get("result").expect("result").to_string(),
+            direct_merge_of(&edits[k]),
+            "edit {k}: warm remerge must be byte-identical to a cold merge"
+        );
+    }
+    assert_eq!(
+        eco_counter(addr, "cold_runs"),
+        1,
+        "one cold merge per suite"
+    );
+    assert_eq!(
+        eco_counter(addr, "eco_hits"),
+        N as u64,
+        "every edit remerges warm"
+    );
+    assert_eq!(eco_counter(addr, "engines"), 1);
+
+    let bye = Client::connect(addr)
+        .expect("connect")
+        .request(&simple_request("shutdown"))
+        .expect("shutdown");
+    assert!(bye.ok);
+    daemon.join().expect("daemon thread").expect("daemon io");
+}
+
+#[test]
+fn deeply_nested_request_line_is_refused_and_the_connection_survives() {
+    let (addr, daemon) = start_server(1);
+    let mut client = Client::connect(addr).expect("connect");
+    // Unbounded recursion would overflow the connection thread's stack
+    // and abort the whole daemon.
+    let refused = client.request(&"[".repeat(20_000)).expect("roundtrip");
+    assert!(!refused.ok);
+    let msg = refused.error.as_deref().unwrap_or_default();
+    assert!(
+        msg.starts_with("malformed JSON: nesting deeper than 128 levels"),
+        "{msg}"
+    );
+    let status = client.request(&simple_request("status")).expect("status");
+    assert!(status.ok, "{:?}", status.error);
+
+    let bye = client
         .request(&simple_request("shutdown"))
         .expect("shutdown");
     assert!(bye.ok);
